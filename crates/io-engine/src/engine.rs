@@ -1236,6 +1236,176 @@ mod tests {
     }
 
     #[test]
+    fn tables_in_flight_limit_delays_a_third_table_until_the_earliest_drain() {
+        let cfg = EngineConfig {
+            max_outstanding_per_device: 1024,
+            max_tables_in_flight: 2,
+            ..EngineConfig::default()
+        };
+        let mut engine = engine_with(TechnologyProfile::optane_ssd(), 1, cfg);
+        let now = SimInstant::EPOCH;
+        for (table, offset) in [(1, 0), (2, 4096), (3, 8192)] {
+            engine
+                .submit(
+                    IoRequest::new(DeviceId(0), ReadCommand::sgl(offset, 128))
+                        .with_table(table)
+                        .with_user_data(u64::from(table)),
+                    now,
+                )
+                .unwrap();
+        }
+        let (done, later) = engine.drain(now).unwrap();
+        let by_tag = |tag: u64| done.iter().find(|c| c.user_data == tag).unwrap();
+        let (first, second, third) = (by_tag(1), by_tag(2), by_tag(3));
+        assert_eq!(first.issued_at, now);
+        assert_eq!(second.issued_at, now);
+        assert_eq!(
+            third.issued_at,
+            first.completed_at.min(second.completed_at),
+            "the third table waits for the earliest active table to drain"
+        );
+        assert!(third.queue_delay > SimDuration::ZERO);
+
+        // Once every table has drained, a new table issues at once.
+        engine
+            .submit(
+                IoRequest::new(DeviceId(0), ReadCommand::sgl(12_288, 128))
+                    .with_table(5)
+                    .with_user_data(5),
+                later,
+            )
+            .unwrap();
+        let (done, _) = engine.drain(later).unwrap();
+        assert_eq!(done[0].issued_at, later);
+    }
+
+    /// Test-only copy of the admission walk the engine must reproduce:
+    /// every tagged request re-counts the other tables with reads in
+    /// flight and, at the limit, waits for the earliest of them to drain.
+    struct ReferenceScheduler {
+        array: DeviceArray,
+        config: EngineConfig,
+        device_sched: Vec<DeviceSched>,
+        table_sched: HashMap<TableTag, DeviceSched>,
+        /// Requests the tables-in-flight limit alone held back.
+        walk_binds: u64,
+    }
+
+    impl ReferenceScheduler {
+        fn issue(&mut self, request: &IoRequest, now: SimInstant) -> (SimInstant, SimInstant) {
+            let dev = request.device.0;
+            self.device_sched[dev].prune(now);
+            let mut issue_at =
+                self.device_sched[dev].admission_time(now, self.config.max_outstanding_per_device);
+            if let Some(tag) = request.table {
+                let sched = self.table_sched.entry(tag).or_default();
+                sched.prune(now);
+                issue_at =
+                    issue_at.max(sched.admission_time(now, self.config.max_outstanding_per_table));
+                let active = self
+                    .table_sched
+                    .iter()
+                    .filter(|(t, s)| **t != tag && s.active_at(now) > 0)
+                    .count();
+                if active >= self.config.max_tables_in_flight {
+                    let earliest_drain = self
+                        .table_sched
+                        .iter()
+                        .filter(|(t, s)| **t != tag && s.active_at(now) > 0)
+                        .filter_map(|(_, s)| s.last_after(now))
+                        .min()
+                        .unwrap_or(now);
+                    if earliest_drain > issue_at {
+                        self.walk_binds += 1;
+                    }
+                    issue_at = issue_at.max(earliest_drain);
+                }
+            }
+            let depth = self.device_sched[dev].active_at(issue_at) + 1;
+            let outcome = self
+                .array
+                .read_at(request.device, &request.command, depth, issue_at)
+                .unwrap();
+            let completed_at = issue_at + outcome.device_latency;
+            self.device_sched[dev].push(completed_at);
+            if let Some(tag) = request.table {
+                self.table_sched.entry(tag).or_default().push(completed_at);
+            }
+            (issue_at, completed_at)
+        }
+    }
+
+    /// SplitMix64: a dependency-free seeded stream for the randomized test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn admission_matches_the_reference_walk_on_random_schedules() {
+        let mut rng = 0x5d20_22u64;
+        let mut pick = |n: u64| splitmix(&mut rng) % n;
+        let mut walk_binds = 0u64;
+        for case in 0..64u64 {
+            let profile = if case % 2 == 0 {
+                TechnologyProfile::optane_ssd()
+            } else {
+                TechnologyProfile::nand_flash()
+            };
+            let devices = 1 + pick(3) as usize;
+            let tables = 1 + pick(8) as u32;
+            let cfg = EngineConfig {
+                max_outstanding_per_device: 1 + pick(8) as usize,
+                max_outstanding_per_table: 1 + pick(4) as usize,
+                max_tables_in_flight: 1 + pick(4) as usize,
+                ..EngineConfig::default()
+            };
+            let array = || DeviceArray::homogeneous(profile.clone(), Bytes::from_mib(1), devices);
+            let mut engine = IoEngine::new(array().unwrap(), cfg.clone());
+            let mut reference = ReferenceScheduler {
+                array: array().unwrap(),
+                device_sched: (0..devices).map(|_| DeviceSched::default()).collect(),
+                table_sched: HashMap::new(),
+                walk_binds: 0,
+                config: cfg,
+            };
+            let mut expected = HashMap::new();
+            let mut now = SimInstant::EPOCH;
+            for i in 0..200u64 {
+                now = now + SimDuration::from_nanos(pick(4) * pick(20_000));
+                let device = DeviceId(pick(devices as u64) as usize);
+                let mut request = IoRequest::new(device, ReadCommand::sgl(pick(2048) * 256, 128))
+                    .with_user_data(i);
+                // One request in eight is untagged.
+                if pick(8) != 0 {
+                    request = request.with_table(pick(u64::from(tables)) as TableTag);
+                }
+                let (issued_at, completed_at) = reference.issue(&request, now);
+                expected.insert(i, (issued_at, completed_at));
+                engine.submit(request, now).unwrap();
+            }
+            let (done, _) = engine.drain(now).unwrap();
+            assert_eq!(done.len(), expected.len());
+            for c in &done {
+                assert_eq!(
+                    (c.issued_at, c.completed_at),
+                    expected[&c.user_data],
+                    "case {case}, request {}",
+                    c.user_data
+                );
+            }
+            walk_binds += reference.walk_binds;
+        }
+        assert!(
+            walk_binds > 0,
+            "the random schedules must reach the binding tables-in-flight limit"
+        );
+    }
+
+    #[test]
     fn submit_batch_preserves_order_and_counts() {
         let mut engine = engine_with(TechnologyProfile::optane_ssd(), 1, EngineConfig::default());
         let now = SimInstant::EPOCH;
