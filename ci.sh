@@ -2,7 +2,8 @@
 # Tier-1 verification for the SDM workspace. Run from anywhere; everything
 # is relative to the repository root.
 #
-#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, bench compile
+#   ./ci.sh          # full gate: fmt, clippy, analyze, build, test, sdmbench
+#                    # self-test, bench compile
 #   ./ci.sh quick    # skip fmt/clippy/analyze (what the paper-repro driver runs)
 #   ./ci.sh bench    # run the criterion benches (quick shim), write
 #                    # BENCH_hotpath.json via the exp_hotpath experiment and
@@ -152,6 +153,12 @@ echo "==> kernel equivalence with the pooling kernel forced to scalar"
 # whole hot path (auto_kernel dispatch included) serves on the scalar
 # fallback — what a non-x86 or pre-SSE2 host would run.
 SDM_POOL_KERNEL=scalar cargo test --locked -q --test kernel_equivalence --test zero_alloc
+
+echo "==> sdmbench build + self-test (out-of-workspace benchmark package)"
+# sdmbench compiles against the io-engine, scm-device and sdm-core public
+# types from outside the workspace, so a workspace build alone cannot
+# catch an API change that breaks it.
+cargo test --locked --release --offline --manifest-path sdmbench/Cargo.toml
 
 echo "==> cargo bench --no-run --workspace"
 cargo bench --locked --no-run --workspace

@@ -6,7 +6,7 @@ use crate::retry::{ResilienceStats, RetryConfig};
 use scm_device::{checksum64, DeviceArray, DeviceId, ReadCommand, ReadOutcome};
 use sdm_metrics::units::{split_share, Bytes};
 use sdm_metrics::{LatencyHistogram, SimDuration, SimInstant};
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Identifier for the embedding table an IO belongs to, used by the
 /// per-table throttling knobs. The engine treats it as an opaque tag.
@@ -50,14 +50,18 @@ impl IoRequest {
 }
 
 /// A finished IO, including its full latency breakdown.
+///
+/// `D` is the payload: owned bytes from [`IoEngine::drain`], or a slice
+/// borrowed from the engine's reused payload buffer in
+/// [`IoEngine::drain_each`].
 #[derive(Debug, Clone)]
-pub struct IoCompletion {
+pub struct IoCompletion<D = Vec<u8>> {
     /// Caller correlation token.
     pub user_data: u64,
     /// Owning table, if tagged.
     pub table: Option<TableTag>,
     /// The payload bytes read.
-    pub data: Vec<u8>,
+    pub data: D,
     /// When the request was handed to the engine.
     pub submitted_at: SimInstant,
     /// When the request was issued to the device (after throttling).
@@ -72,10 +76,25 @@ pub struct IoCompletion {
     pub bus_bytes: Bytes,
 }
 
-impl IoCompletion {
+impl<D> IoCompletion<D> {
     /// Total latency seen by the caller (queueing + device).
     pub fn total_latency(&self) -> SimDuration {
         self.completed_at.duration_since(self.submitted_at)
+    }
+
+    /// The same completion carrying `data` as its payload.
+    fn with_data<E>(&self, data: E) -> IoCompletion<E> {
+        IoCompletion {
+            user_data: self.user_data,
+            table: self.table,
+            data,
+            submitted_at: self.submitted_at,
+            issued_at: self.issued_at,
+            completed_at: self.completed_at,
+            queue_delay: self.queue_delay,
+            device_latency: self.device_latency,
+            bus_bytes: self.bus_bytes,
+        }
     }
 }
 
@@ -221,7 +240,7 @@ impl IoStats {
 pub struct EngineStats {
     /// Requests submitted.
     pub submitted: u64,
-    /// Requests completed (scheduled; they become visible via `poll`).
+    /// Requests completed (scheduled; they become visible via `drain`).
     pub completed: u64,
     /// Total host CPU time spent on submission + completion handling.
     pub cpu_time: SimDuration,
@@ -307,7 +326,7 @@ enum Attempt {
     Completed {
         issued_at: SimInstant,
         completed_at: SimInstant,
-        outcome: ReadOutcome,
+        outcome: ReadOutcome<Range<usize>>,
     },
     /// Failed attempt; `retry_at` is the instant the failure became known
     /// to the host (backoff starts there).
@@ -322,15 +341,22 @@ enum Attempt {
 /// The engine owns the host's [`DeviceArray`] and schedules every read on
 /// the virtual clock: requests are admitted as soon as the configured
 /// outstanding-IO limits allow, the device model provides the service time
-/// at the observed queue depth, and completions become visible to `poll`
-/// once the clock passes their completion instant.
+/// at the observed queue depth, and completions wait in a ready queue until
+/// the caller drains them.
+///
+/// Payloads are read straight into one buffer the engine owns; a queued
+/// completion holds its range there. Draining clears the buffer but keeps
+/// its capacity, so a warmed engine submits and reaps without allocating.
 #[derive(Debug)]
 pub struct IoEngine {
     array: DeviceArray,
     config: EngineConfig,
     device_sched: Vec<DeviceSched>,
-    table_sched: HashMap<TableTag, DeviceSched>,
-    ready: Vec<IoCompletion>,
+    /// Per-table schedules sorted by tag, so the submit path finds one by
+    /// binary search instead of hashing.
+    table_sched: Vec<(TableTag, DeviceSched)>,
+    ready: Vec<IoCompletion<Range<usize>>>,
+    payload: Vec<u8>,
     stats: EngineStats,
 }
 
@@ -345,8 +371,9 @@ impl IoEngine {
             array,
             config,
             device_sched,
-            table_sched: HashMap::new(),
+            table_sched: Vec::new(),
             ready: Vec::new(),
+            payload: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -391,7 +418,7 @@ impl IoEngine {
     /// deadline — are retried with exponential backoff per the configured
     /// [`RetryConfig`]; slow clean completions may additionally be hedged
     /// with a duplicate read. The winning completion becomes visible
-    /// through [`IoEngine::poll`] or [`IoEngine::drain`].
+    /// through [`IoEngine::drain_each`] or [`IoEngine::drain`].
     ///
     /// # Errors
     ///
@@ -444,9 +471,15 @@ impl IoEngine {
                                     completed_at: h_done,
                                     outcome: h_out,
                                 } => {
+                                    // Both copies passed verification
+                                    // against the same media bytes, so the
+                                    // primary's payload stands in for the
+                                    // hedge's and the duplicate is dropped.
+                                    self.payload.truncate(h_out.data.start);
                                     if h_done < best.1 {
                                         self.stats.resilience.hedge_wins += 1;
-                                        best = (h_issued, h_done, h_out);
+                                        let data = best.2.data.clone();
+                                        best = (h_issued, h_done, h_out.with_data(data));
                                     }
                                 }
                                 Attempt::Failed { kind, .. } => self.note_failure(kind),
@@ -461,7 +494,7 @@ impl IoEngine {
         let completion = IoCompletion {
             user_data: request.user_data,
             table: request.table,
-            data: outcome.data,
+            data: outcome.data.clone(),
             submitted_at: now,
             issued_at,
             completed_at,
@@ -503,8 +536,9 @@ impl IoEngine {
         let mut issue_at = self.device_sched[dev_index]
             .admission_time(earliest, self.config.max_outstanding_per_device);
 
-        if let Some(tag) = request.table {
-            let sched = self.table_sched.entry(tag).or_default();
+        let table_slot = request.table.map(|tag| self.table_slot(tag));
+        if let Some(slot) = table_slot {
+            let sched = &mut self.table_sched[slot].1;
             sched.prune(earliest);
             issue_at =
                 issue_at.max(sched.admission_time(earliest, self.config.max_outstanding_per_table));
@@ -514,17 +548,23 @@ impl IoEngine {
         // limit is reached, wait until the busiest constraint relaxes (the
         // earliest instant at which some active table fully drains).
         // Counted in place — no temporary collection on the submit path.
-        if let Some(tag) = request.table {
+        // The list holds this table's schedule (inserted above), so the
+        // active count cannot exceed `len - 1`: below the limit the walk
+        // could never bind and is skipped.
+        if let Some(tag) = request
+            .table
+            .filter(|_| self.table_sched.len() > self.config.max_tables_in_flight)
+        {
             let active_tables = self
                 .table_sched
                 .iter()
-                .filter(|(t, s)| **t != tag && s.active_at(earliest) > 0)
+                .filter(|(t, s)| *t != tag && s.active_at(earliest) > 0)
                 .count();
             if active_tables >= self.config.max_tables_in_flight {
                 let earliest_drain = self
                     .table_sched
                     .iter()
-                    .filter(|(t, s)| **t != tag && s.active_at(earliest) > 0)
+                    .filter(|(t, s)| *t != tag && s.active_at(earliest) > 0)
                     .filter_map(|(_, s)| s.last_after(earliest))
                     .min()
                     .unwrap_or(earliest);
@@ -535,28 +575,34 @@ impl IoEngine {
         // 2. Ask the device for the service time at the observed depth.
         let queue_depth = self.device_sched[dev_index].active_at(issue_at) + 1;
         self.stats.queue_depth.record(queue_depth);
-        let outcome =
-            match self
-                .array
-                .read_at(request.device, &request.command, queue_depth, issue_at)
-            {
-                Ok(outcome) => outcome,
-                Err(e) if e.is_transient() => {
-                    return Ok(Attempt::Failed {
-                        kind: FailureKind::Transient,
-                        retry_at: issue_at,
-                    })
-                }
-                Err(e) => return Err(IoError::Device(e)),
-            };
+        let outcome = match self.array.read_into(
+            request.device,
+            &request.command,
+            queue_depth,
+            issue_at,
+            &mut self.payload,
+        ) {
+            Ok(outcome) => outcome,
+            Err(e) if e.is_transient() => {
+                return Ok(Attempt::Failed {
+                    kind: FailureKind::Transient,
+                    retry_at: issue_at,
+                })
+            }
+            Err(e) => return Err(IoError::Device(e)),
+        };
         let completed_at = issue_at + outcome.device_latency;
 
         // 3. Record scheduling state; even attempts the host abandons keep
         // their queue slot until the device would have finished.
-        self.track_inflight(dev_index, request.table, completed_at);
+        self.device_sched[dev_index].push(completed_at);
+        if let Some(slot) = table_slot {
+            self.table_sched[slot].1.push(completed_at);
+        }
 
         let deadline = self.config.retry.io_deadline;
         if !deadline.is_zero() && outcome.device_latency > deadline {
+            self.payload.truncate(outcome.data.start);
             return Ok(Attempt::Failed {
                 kind: FailureKind::DeadlineExceeded,
                 retry_at: issue_at + deadline,
@@ -565,7 +611,8 @@ impl IoEngine {
         // End-to-end protection: verify the guard tag the device stamped
         // before any injected corruption. A mismatch is known only once the
         // data is back, so the retry clock starts at completion.
-        if checksum64(&outcome.data) != outcome.checksum {
+        if checksum64(&self.payload[outcome.data.clone()]) != outcome.checksum {
+            self.payload.truncate(outcome.data.start);
             return Ok(Attempt::Failed {
                 kind: FailureKind::ChecksumMismatch,
                 retry_at: completed_at,
@@ -579,11 +626,14 @@ impl IoEngine {
         })
     }
 
-    fn track_inflight(&mut self, dev_index: usize, table: Option<TableTag>, at: SimInstant) {
-        self.device_sched[dev_index].push(at);
-        if let Some(tag) = table {
-            self.table_sched.entry(tag).or_default().push(at);
-        }
+    /// Index of the table's schedule, inserted on first sight.
+    fn table_slot(&mut self, tag: TableTag) -> usize {
+        self.table_sched
+            .binary_search_by_key(&tag, |(t, _)| *t)
+            .unwrap_or_else(|at| {
+                self.table_sched.insert(at, (tag, DeviceSched::default()));
+                at
+            })
     }
 
     fn note_failure(&mut self, kind: FailureKind) {
@@ -617,41 +667,30 @@ impl IoEngine {
         Ok(())
     }
 
-    /// Returns every completion whose completion instant is at or before
-    /// `now`, in completion order.
-    pub fn poll(&mut self, now: SimInstant) -> Vec<IoCompletion> {
-        let (done, not_done): (Vec<_>, Vec<_>) =
-            self.ready.drain(..).partition(|c| c.completed_at <= now);
-        self.ready = not_done;
-        let mut done = done;
-        done.sort_by_key(|c| c.completed_at);
-        done
-    }
-
     /// Waits for everything in flight: returns all outstanding completions
     /// (sorted by completion time) and the instant the last one finished
-    /// (`now` when nothing was in flight).
+    /// (`now` when nothing was in flight). The owning form of
+    /// [`IoEngine::drain_each`], for callers off the serving path.
     ///
     /// # Errors
     ///
     /// This method is currently infallible but returns `Result` so the
     /// signature can accommodate cancellation in the future.
     pub fn drain(&mut self, now: SimInstant) -> Result<(Vec<IoCompletion>, SimInstant), IoError> {
-        let mut done: Vec<IoCompletion> = self.ready.drain(..).collect();
-        done.sort_by_key(|c| c.completed_at);
-        let finished_at = done.last().map(|c| c.completed_at).unwrap_or(now).max(now);
+        let mut done = Vec::with_capacity(self.ready.len());
+        let finished_at = self.drain_each(now, |c| done.push(c.with_data(c.data.to_vec())))?;
         Ok((done, finished_at))
     }
 
-    /// Like [`IoEngine::drain`], but hands each completion to `f` in
-    /// completion order instead of collecting them, and returns the instant
-    /// the last one finished (`now` when nothing was in flight).
+    /// Waits for everything in flight: hands each completion to `f` in
+    /// completion order, its payload borrowed from the engine's buffer, and
+    /// returns the instant the last one finished (`now` when nothing was
+    /// in flight).
     ///
     /// This lets the caller overlap completion reaping with downstream work
     /// (the serving loop dequantises and pools each row as it is reaped)
-    /// without an intermediate completion vector — the sort happens in the
-    /// ready queue's own storage. The stable sort matches [`IoEngine::drain`],
-    /// so both paths reap equal-time completions in submission order.
+    /// without an intermediate completion vector or a payload copy. Equal
+    /// completion instants are reaped in submission order.
     ///
     /// # Errors
     ///
@@ -659,9 +698,13 @@ impl IoEngine {
     pub fn drain_each(
         &mut self,
         now: SimInstant,
-        mut f: impl FnMut(IoCompletion),
+        mut f: impl FnMut(IoCompletion<&[u8]>),
     ) -> Result<SimInstant, IoError> {
-        self.ready.sort_by_key(|c| c.completed_at);
+        // Payload ranges are non-empty and laid out in submission order,
+        // so ordering ties by range start reproduces a stable sort — and
+        // the unstable sort needs no scratch allocation.
+        self.ready
+            .sort_unstable_by_key(|c| (c.completed_at, c.data.start));
         let finished_at = self
             .ready
             .last()
@@ -669,8 +712,9 @@ impl IoEngine {
             .unwrap_or(now)
             .max(now);
         for completion in self.ready.drain(..) {
-            f(completion);
+            f(completion.with_data(&self.payload[completion.data.clone()]));
         }
+        self.payload.clear();
         Ok(finished_at)
     }
 }
@@ -679,6 +723,7 @@ impl IoEngine {
 mod tests {
     use super::*;
     use scm_device::TechnologyProfile;
+    use std::collections::HashMap;
 
     fn engine_with(profile: TechnologyProfile, devices: usize, cfg: EngineConfig) -> IoEngine {
         let array = DeviceArray::homogeneous(profile, Bytes::from_mib(4), devices).unwrap();
@@ -847,22 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_only_returns_finished_ios() {
-        let mut engine = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
-        let now = SimInstant::EPOCH;
-        engine
-            .submit(IoRequest::new(DeviceId(0), ReadCommand::sgl(0, 128)), now)
-            .unwrap();
-        // Nothing is done after 1us (Nand base latency ~90us).
-        assert!(engine.poll(now + SimDuration::from_micros(1)).is_empty());
-        assert_eq!(engine.outstanding(), 1);
-        let later = now + SimDuration::from_millis(10);
-        let done = engine.poll(later);
-        assert_eq!(done.len(), 1);
-        assert_eq!(engine.outstanding(), 0);
-    }
-
-    #[test]
     fn higher_concurrency_raises_latency() {
         // Reproduces the Figure 3 trend: driving the device towards its IOPS
         // ceiling inflates the observed latency.
@@ -924,34 +953,37 @@ mod tests {
     }
 
     #[test]
-    fn drain_each_matches_drain() {
-        let make = || {
-            let mut e = engine_with(TechnologyProfile::nand_flash(), 1, EngineConfig::default());
-            for i in 0..8u64 {
-                e.submit(
-                    IoRequest::new(DeviceId(0), ReadCommand::sgl(i * 4096, 128)).with_user_data(i),
+    fn drain_each_reaps_in_completion_then_submission_order() {
+        // Two identical devices fed alternately see identical depths and
+        // latencies, so every completion instant is shared by two IOs.
+        let mut engine = engine_with(TechnologyProfile::nand_flash(), 2, EngineConfig::default());
+        for i in 0..8u64 {
+            let device = DeviceId((i % 2) as usize);
+            engine
+                .array_mut()
+                .write(device, i * 4096, &[i as u8; 128])
+                .unwrap();
+            engine
+                .submit(
+                    IoRequest::new(device, ReadCommand::sgl(i * 4096, 128)).with_user_data(i),
                     SimInstant::EPOCH,
                 )
                 .unwrap();
-            }
-            e
-        };
-        let mut a = make();
-        let mut b = make();
-        let (collected, finished_a) = a.drain(SimInstant::EPOCH).unwrap();
-        let mut streamed = Vec::new();
-        let finished_b = b
-            .drain_each(SimInstant::EPOCH, |c| streamed.push(c))
-            .unwrap();
-        assert_eq!(finished_a, finished_b);
-        assert_eq!(collected.len(), streamed.len());
-        for (x, y) in collected.iter().zip(&streamed) {
-            assert_eq!(x.user_data, y.user_data);
-            assert_eq!(x.completed_at, y.completed_at);
         }
+        let mut reaped = Vec::new();
+        let finished = engine
+            .drain_each(SimInstant::EPOCH, |c| {
+                assert_eq!(c.data, &[c.user_data as u8; 128][..]);
+                reaped.push((c.completed_at, c.user_data));
+            })
+            .unwrap();
+        assert_eq!(reaped.len(), 8);
+        assert!(reaped.windows(2).any(|w| w[0].0 == w[1].0), "no tie");
+        assert!(reaped.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(finished, reaped[7].0);
         // Nothing left behind.
-        assert_eq!(b.outstanding(), 0);
-        let empty_at = b
+        assert_eq!(engine.outstanding(), 0);
+        let empty_at = engine
             .drain_each(SimInstant::EPOCH, |_| panic!("no IOs"))
             .unwrap();
         assert_eq!(empty_at, SimInstant::EPOCH);
@@ -1324,7 +1356,13 @@ mod tests {
             let depth = self.device_sched[dev].active_at(issue_at) + 1;
             let outcome = self
                 .array
-                .read_at(request.device, &request.command, depth, issue_at)
+                .read_into(
+                    request.device,
+                    &request.command,
+                    depth,
+                    issue_at,
+                    &mut Vec::new(),
+                )
                 .unwrap();
             let completed_at = issue_at + outcome.device_latency;
             self.device_sched[dev].push(completed_at);
@@ -1346,7 +1384,7 @@ mod tests {
 
     #[test]
     fn admission_matches_the_reference_walk_on_random_schedules() {
-        let mut rng = 0x5d20_22u64;
+        let mut rng = 0x005d_2022_u64;
         let mut pick = |n: u64| splitmix(&mut rng) % n;
         let mut walk_binds = 0u64;
         for case in 0..64u64 {
@@ -1375,7 +1413,7 @@ mod tests {
             let mut expected = HashMap::new();
             let mut now = SimInstant::EPOCH;
             for i in 0..200u64 {
-                now = now + SimDuration::from_nanos(pick(4) * pick(20_000));
+                now += SimDuration::from_nanos(pick(4) * pick(20_000));
                 let device = DeviceId(pick(devices as u64) as usize);
                 let mut request = IoRequest::new(device, ReadCommand::sgl(pick(2048) * 256, 128))
                     .with_user_data(i);

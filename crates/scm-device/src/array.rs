@@ -7,6 +7,7 @@ use crate::tech::TechnologyProfile;
 use sdm_metrics::units::Bytes;
 use sdm_metrics::{SimDuration, SimInstant};
 use std::fmt;
+use std::ops::Range;
 
 /// Identifies one device within a [`DeviceArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -133,20 +134,22 @@ impl DeviceArray {
     }
 
     /// Issues a read against a specific device at virtual instant `now`,
-    /// consulting any attached fault plan (see [`ScmDevice::read_at`]).
+    /// consulting any attached fault plan and appending the payload to
+    /// `buf` (see [`ScmDevice::read_into`]).
     ///
     /// # Errors
     ///
     /// Propagates device errors, including injected
     /// [`DeviceError::TransientRead`] failures.
-    pub fn read_at(
+    pub fn read_into(
         &mut self,
         id: DeviceId,
         cmd: &ReadCommand,
         queue_depth: usize,
         now: SimInstant,
-    ) -> Result<ReadOutcome, DeviceError> {
-        self.device_mut(id)?.read_at(cmd, queue_depth, now)
+        buf: &mut Vec<u8>,
+    ) -> Result<ReadOutcome<Range<usize>>, DeviceError> {
+        self.device_mut(id)?.read_into(cmd, queue_depth, now, buf)
     }
 
     /// Writes to a specific device.

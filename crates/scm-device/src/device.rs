@@ -7,13 +7,17 @@ use crate::latency::LoadedLatencyModel;
 use crate::nvme::ReadCommand;
 use crate::tech::TechnologyProfile;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::{CounterSet, SimDuration, SimInstant};
+use sdm_metrics::{SimDuration, SimInstant};
+use std::ops::Range;
 
 /// Outcome of one read command.
+///
+/// `D` is the payload: the bytes themselves for [`ScmDevice::read_at`], or
+/// their range inside the caller's buffer for [`ScmDevice::read_into`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadOutcome {
+pub struct ReadOutcome<D = Vec<u8>> {
     /// The requested payload bytes, concatenated in range order.
-    pub data: Vec<u8>,
+    pub data: D,
     /// Time the device and link needed to serve this command.
     pub device_latency: SimDuration,
     /// Bytes that crossed the host link (includes read amplification).
@@ -26,6 +30,20 @@ pub struct ReadOutcome {
     /// from the media, stamped *before* any injected corruption. The host
     /// verifies it at IO completion (NVMe end-to-end data protection).
     pub checksum: u64,
+}
+
+impl<D> ReadOutcome<D> {
+    /// The same outcome carrying `data` as its payload.
+    pub fn with_data<E>(self, data: E) -> ReadOutcome<E> {
+        ReadOutcome {
+            data,
+            device_latency: self.device_latency,
+            bus_bytes: self.bus_bytes,
+            requested_bytes: self.requested_bytes,
+            blocks_touched: self.blocks_touched,
+            checksum: self.checksum,
+        }
+    }
 }
 
 /// Outcome of one write.
@@ -80,7 +98,6 @@ pub struct ScmDevice {
     store: PageStore,
     latency: LoadedLatencyModel,
     stats: DeviceStats,
-    counters: CounterSet,
     lifetime_write_budget: Option<Bytes>,
     enforce_endurance: bool,
     fault: Option<FaultPlan>,
@@ -106,7 +123,6 @@ impl ScmDevice {
             store,
             latency,
             stats: DeviceStats::default(),
-            counters: CounterSet::new(),
             lifetime_write_budget,
             enforce_endurance: false,
             fault: None,
@@ -131,11 +147,6 @@ impl ScmDevice {
     /// Cumulative statistics.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
-    }
-
-    /// Named counters (exposed for dashboards / experiment output).
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
     }
 
     /// When enabled, writes beyond the rated lifetime endurance budget are
@@ -180,8 +191,6 @@ impl ScmDevice {
         let written = Bytes(data.len() as u64);
         self.stats.writes += 1;
         self.stats.bytes_written += written;
-        self.counters.counter("writes").incr();
-        self.counters.counter("bytes_written").add(written.as_u64());
         let latency = self.profile.base_write_latency
             + SimDuration::from_secs_f64(
                 written.as_u64() as f64 / self.profile.write_bandwidth.max(1.0),
@@ -228,20 +237,49 @@ impl ScmDevice {
         queue_depth: usize,
         now: SimInstant,
     ) -> Result<ReadOutcome, DeviceError> {
-        if cmd.requested_bytes().is_zero() {
+        let mut data = Vec::with_capacity(cmd.requested_bytes().as_u64() as usize);
+        let outcome = self.read_into(cmd, queue_depth, now, &mut data)?;
+        Ok(outcome.with_data(data))
+    }
+
+    /// Serves a read command issued at virtual instant `now`, appending the
+    /// payload to `buf` instead of allocating one: the outcome's `data` is
+    /// the payload's range inside `buf`. On error `buf` is left as it was.
+    /// This is the IO engine's allocation-free path; [`ScmDevice::read_at`]
+    /// wraps it.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`ScmDevice::read_at`] returns.
+    pub fn read_into(
+        &mut self,
+        cmd: &ReadCommand,
+        queue_depth: usize,
+        now: SimInstant,
+        buf: &mut Vec<u8>,
+    ) -> Result<ReadOutcome<Range<usize>>, DeviceError> {
+        let requested = cmd.requested_bytes();
+        if requested.is_zero() {
             return Err(DeviceError::EmptyCommand);
         }
         let bus_bytes = cmd.bus_bytes(&self.profile)?;
         let blocks = cmd.blocks_touched(self.profile.access_granularity);
 
-        let mut data = Vec::with_capacity(cmd.requested_bytes().as_u64() as usize);
+        let start = buf.len();
+        buf.resize(start + requested.as_u64() as usize, 0);
+        let mut at = start;
         for range in cmd.ranges() {
-            let part = self.store.read_at(range.offset, range.len as u64)?;
-            data.extend_from_slice(&part);
+            let end = at + range.len as usize;
+            if let Err(e) = self.store.read_into(range.offset, &mut buf[at..end]) {
+                buf.truncate(start);
+                return Err(e);
+            }
+            at = end;
         }
+        let data = &mut buf[start..];
         // Guard tag over the payload as the media holds it; injected
         // corruption below happens after, so the host can always detect it.
-        let checksum = checksum64(&data);
+        let checksum = checksum64(data);
 
         // Media latency at the current load plus the link transfer time for
         // the bytes that actually cross the bus. Multi-block commands pay the
@@ -266,6 +304,7 @@ impl ScmDevice {
             if decision.transient_error {
                 // A failed command consumes no stats: the engine re-issues
                 // it and the retry is accounted like any other read.
+                buf.truncate(start);
                 return Err(DeviceError::TransientRead {
                     device: self.name.clone(),
                 });
@@ -285,17 +324,15 @@ impl ScmDevice {
         }
 
         self.stats.reads += 1;
-        self.stats.bytes_requested += cmd.requested_bytes();
+        self.stats.bytes_requested += requested;
         self.stats.bytes_on_bus += bus_bytes;
         self.stats.read_time += latency;
-        self.counters.counter("reads").incr();
-        self.counters.counter("bus_bytes").add(bus_bytes.as_u64());
 
         Ok(ReadOutcome {
-            data,
+            data: start..buf.len(),
             device_latency: latency,
             bus_bytes,
-            requested_bytes: cmd.requested_bytes(),
+            requested_bytes: requested,
             blocks_touched: blocks,
             checksum,
         })
@@ -424,6 +461,31 @@ mod tests {
     }
 
     #[test]
+    fn read_into_appends_the_payload_and_restores_the_buffer_on_error() {
+        let mut dev = small_optane();
+        let mut twin = small_optane();
+        for d in [&mut dev, &mut twin] {
+            d.write_at(0, &[4u8; 64]).unwrap();
+        }
+        let mut buf = vec![9u8; 3];
+        let cmd = ReadCommand::sgl(0, 64);
+        let out = dev.read_into(&cmd, 2, SimInstant::EPOCH, &mut buf).unwrap();
+        assert_eq!(out.data, 3..67);
+        assert_eq!(buf[..3], [9u8; 3]);
+        let owned = twin.read(&cmd, 2).unwrap();
+        assert_eq!(out.clone().with_data(buf[3..].to_vec()), owned);
+
+        let past_end = ReadCommand::sgl(Bytes::from_mib(4).as_u64() - 8, 64);
+        assert!(dev
+            .read_into(&past_end, 1, SimInstant::EPOCH, &mut buf)
+            .is_err());
+        dev.set_fault_plan(Some(FaultPlan::new(4).with_transient_errors(1.0)));
+        assert!(dev.read_into(&cmd, 1, SimInstant::EPOCH, &mut buf).is_err());
+        assert_eq!(buf.len(), 67, "a failed read leaves the buffer as it was");
+        assert_eq!(dev.stats().reads, 1);
+    }
+
+    #[test]
     fn attached_empty_plan_is_bit_identical() {
         let mut plain = small_optane();
         let mut faulted = small_optane();
@@ -506,6 +568,6 @@ mod tests {
         }
         assert_eq!(dev.stats().reads, 10);
         assert_eq!(dev.stats().bytes_requested, Bytes(1280));
-        assert_eq!(dev.counters().value("reads"), 10);
+        assert_eq!(dev.stats().bytes_on_bus, Bytes(1280));
     }
 }

@@ -24,11 +24,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdm_metrics::{SimDuration, SimInstant};
 
-/// FNV-1a 64-bit checksum of a byte slice.
+/// Word-wide FNV-1a-style 64-bit checksum of a byte slice.
 ///
-/// Used as the per-row guard tag of the end-to-end data protection path: a
-/// single flipped bit always changes the digest, so every injected
-/// corruption is detectable at IO completion.
+/// Used as the per-row guard tag of the end-to-end data protection path.
+/// It folds eight little-endian bytes per step, then the byte tail, with
+/// FNV-1a's step: xor the input into the state, multiply by an odd
+/// constant. For a fixed input the step is a bijection of the state (the
+/// multiplier is odd, so invertible mod 2^64), and for a fixed state it is
+/// a bijection of the input. A corruption confined to one word or tail
+/// byte — every single flipped bit in particular — therefore changes that
+/// step's state, and the bijective steps after it carry the difference to
+/// the digest, so every injected corruption is detectable at IO
+/// completion.
 ///
 /// # Example
 ///
@@ -41,10 +48,18 @@ use sdm_metrics::{SimDuration, SimInstant};
 /// assert_ne!(checksum64(&row), guard);
 /// ```
 pub fn checksum64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        hash ^= u64::from_le_bytes(word);
+        hash = hash.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(PRIME);
     }
     hash
 }
@@ -276,16 +291,24 @@ mod tests {
 
     #[test]
     fn checksum_detects_single_bit_flips() {
-        let data: Vec<u8> = (0..255u8).collect();
-        let guard = checksum64(&data);
-        for byte in [0usize, 17, 254] {
-            for bit in 0..8 {
-                let mut flipped = data.clone();
-                flipped[byte] ^= 1 << bit;
-                assert_ne!(checksum64(&flipped), guard, "flip {byte}:{bit} missed");
+        // Every bit of every byte, for every length up to 256 B: covers the
+        // 90–170 B embedding rows and every tail length past a whole word.
+        for len in 1..=256usize {
+            let mut data: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            let guard = checksum64(&data);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    data[byte] ^= 1 << bit;
+                    assert_ne!(
+                        checksum64(&data),
+                        guard,
+                        "len {len}: flip {byte}:{bit} missed"
+                    );
+                    data[byte] ^= 1 << bit;
+                }
             }
+            assert_eq!(checksum64(&data), guard);
         }
-        assert_eq!(checksum64(&data), guard);
     }
 
     #[test]

@@ -66,18 +66,27 @@ pub enum AccessMode {
 ///
 /// A command may carry several ranges (one NVMe command can gather multiple
 /// rows that live in the same block neighbourhood), although the common case
-/// in this stack is a single embedding row per command.
+/// in this stack is a single embedding row per command — which is held
+/// inline, so building one allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadCommand {
-    ranges: Vec<SglRange>,
+    ranges: Ranges,
     mode: AccessMode,
+}
+
+/// A command's ranges: one inline, or several on the heap. A one-element
+/// list is always stored as `One`, so derived equality matches the slices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Ranges {
+    One(SglRange),
+    Many(Vec<SglRange>),
 }
 
 impl ReadCommand {
     /// Creates a single-range command using whole-block IO.
     pub fn block(offset: u64, len: u32) -> Self {
         ReadCommand {
-            ranges: vec![SglRange::new(offset, len)],
+            ranges: Ranges::One(SglRange::new(offset, len)),
             mode: AccessMode::Block,
         }
     }
@@ -85,7 +94,7 @@ impl ReadCommand {
     /// Creates a single-range command using SGL bit-bucket IO.
     pub fn sgl(offset: u64, len: u32) -> Self {
         ReadCommand {
-            ranges: vec![SglRange::new(offset, len)],
+            ranges: Ranges::One(SglRange::new(offset, len)),
             mode: AccessMode::Sgl,
         }
     }
@@ -97,15 +106,23 @@ impl ReadCommand {
     /// Returns [`DeviceError::EmptyCommand`] when `ranges` is empty or all
     /// ranges have zero length.
     pub fn with_ranges(ranges: Vec<SglRange>, mode: AccessMode) -> Result<Self, DeviceError> {
-        if ranges.is_empty() || ranges.iter().all(|r| r.len == 0) {
+        if ranges.iter().all(|r| r.len == 0) {
             return Err(DeviceError::EmptyCommand);
         }
+        let ranges = if ranges.len() == 1 {
+            Ranges::One(ranges[0])
+        } else {
+            Ranges::Many(ranges)
+        };
         Ok(ReadCommand { ranges, mode })
     }
 
     /// The requested ranges.
     pub fn ranges(&self) -> &[SglRange] {
-        &self.ranges
+        match &self.ranges {
+            Ranges::One(range) => std::slice::from_ref(range),
+            Ranges::Many(ranges) => ranges,
+        }
     }
 
     /// The access mode.
@@ -115,7 +132,7 @@ impl ReadCommand {
 
     /// Total payload bytes the caller asked for.
     pub fn requested_bytes(&self) -> Bytes {
-        Bytes(self.ranges.iter().map(|r| r.len as u64).sum())
+        Bytes(self.ranges().iter().map(|r| r.len as u64).sum())
     }
 
     /// Number of device blocks (of `granularity`) this command touches.
@@ -124,11 +141,21 @@ impl ReadCommand {
     /// always senses whole blocks internally.
     pub fn blocks_touched(&self, granularity: Bytes) -> u64 {
         let g = granularity.as_u64().max(1);
+        let span = |r: &SglRange| (r.offset / g, (r.end() - 1) / g);
+        // The common single-row command needs no interval merge.
+        match self.ranges() {
+            [r] if r.len == 0 => return 0,
+            [r] => {
+                let (start, end) = span(r);
+                return end - start + 1;
+            }
+            _ => {}
+        }
         let mut blocks: Vec<(u64, u64)> = self
-            .ranges
+            .ranges()
             .iter()
             .filter(|r| r.len > 0)
-            .map(|r| (r.offset / g, (r.end() - 1) / g))
+            .map(span)
             .collect();
         blocks.sort_unstable();
         // Count unique blocks over the merged intervals.
@@ -168,7 +195,7 @@ impl ReadCommand {
                     });
                 }
                 Ok(Bytes(
-                    self.ranges
+                    self.ranges()
                         .iter()
                         .map(|r| r.dword_aligned().len as u64)
                         .sum(),
@@ -283,5 +310,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cmd.blocks_touched(g), 2);
+    }
+
+    #[test]
+    fn single_range_commands_are_inline_and_count_blocks_like_the_merge() {
+        let g = Bytes(512);
+        assert_eq!(
+            ReadCommand::with_ranges(vec![SglRange::new(100, 90)], AccessMode::Sgl).unwrap(),
+            ReadCommand::sgl(100, 90)
+        );
+        for offset in [0u64, 1, 422, 423, 511, 512, 1000] {
+            assert_eq!(ReadCommand::block(offset, 0).blocks_touched(g), 0);
+            for len in [1u32, 89, 90, 512, 513, 1500] {
+                let one = ReadCommand::block(offset, len);
+                // A zero-length companion forces the general merge path.
+                let merged = ReadCommand::with_ranges(
+                    vec![SglRange::new(offset, len), SglRange::new(0, 0)],
+                    AccessMode::Block,
+                )
+                .unwrap();
+                assert_eq!(one.ranges(), &[SglRange::new(offset, len)]);
+                assert_eq!(
+                    one.blocks_touched(g),
+                    merged.blocks_touched(g),
+                    "{offset}+{len}"
+                );
+            }
+        }
     }
 }

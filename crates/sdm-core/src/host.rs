@@ -532,13 +532,25 @@ impl ServingHost {
         total
     }
 
-    /// Host-level device counters: every device's [`CounterSet`] (reads,
-    /// writes, bus bytes) across every shard, folded into one set.
+    /// Host-level device counters across every shard, built from each
+    /// device's [`scm_device::DeviceStats`]: `reads` and `bus_bytes` once
+    /// any device has served a read, `writes` and `bytes_written` once any
+    /// has been written.
     pub fn device_counters(&self) -> CounterSet {
         let total = CounterSet::new();
         for shard in &self.shards {
             for (_, device) in shard.manager().io_engine().array().iter() {
-                total.merge_from(device.counters());
+                let stats = device.stats();
+                if stats.reads > 0 {
+                    total.counter("reads").add(stats.reads);
+                    total.counter("bus_bytes").add(stats.bytes_on_bus.as_u64());
+                }
+                if stats.writes > 0 {
+                    total.counter("writes").add(stats.writes);
+                    total
+                        .counter("bytes_written")
+                        .add(stats.bytes_written.as_u64());
+                }
             }
         }
         total
@@ -761,6 +773,26 @@ mod tests {
         let devices = host.device_counters();
         assert!(devices.value("writes") > 0);
         assert!(devices.value("reads") > 0);
+        let mut summed = scm_device::DeviceStats::default();
+        for shard in 0..host.shards() {
+            for (_, device) in host.shard(shard).manager().io_engine().array().iter() {
+                let s = device.stats();
+                summed.reads += s.reads;
+                summed.writes += s.writes;
+                summed.bytes_on_bus += s.bytes_on_bus;
+                summed.bytes_written += s.bytes_written;
+            }
+        }
+        let expected: std::collections::BTreeMap<String, u64> = [
+            ("bus_bytes", summed.bytes_on_bus.as_u64()),
+            ("bytes_written", summed.bytes_written.as_u64()),
+            ("reads", summed.reads),
+            ("writes", summed.writes),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect();
+        assert_eq!(devices.snapshot(), expected);
     }
 
     #[test]

@@ -597,7 +597,7 @@ impl SdmMemoryManager {
                 // position binary search below: the same bytes are then
                 // read three times (accumulate, row-cache insert, shared
                 // promotion) without re-paying the first-touch latency.
-                kernels::prefetch_row(&completion.data);
+                kernels::prefetch_row(completion.data);
                 stats.sm_bytes_read += Bytes(completion.data.len() as u64);
                 stats.sm_bus_bytes += completion.bus_bytes;
                 let pos = completion.user_data as usize;
@@ -622,7 +622,7 @@ impl SdmMemoryManager {
                 };
                 if pool_error.is_none() {
                     if let Err(e) =
-                        kernels::accumulate_row_with(kernel, &completion.data, quant, out)
+                        kernels::accumulate_row_with(kernel, completion.data, quant, out)
                     {
                         pool_error = Some(e.into());
                     } else {
@@ -632,11 +632,11 @@ impl SdmMemoryManager {
                 // Copied into the cache's arena (the seed's extra
                 // intermediate clone is gone, not the final copy).
                 let key = RowKey::new(table, stored_row);
-                row_cache.insert(key, &completion.data);
+                row_cache.insert(key, completion.data);
                 // Promote into the shared tier so other shards can serve
                 // this row without their own SM read.
                 if let Some(shared) = shared {
-                    if shared.tier.insert(key, &completion.data, shared.source) {
+                    if shared.tier.insert(key, completion.data, shared.source) {
                         stats.shared_tier_promotions += 1;
                     }
                 }

@@ -8,7 +8,8 @@
 //! do not pollute the count.
 
 use dlrm::{model_zoo, QueryResult};
-use io_engine::RetryConfig;
+use io_engine::{EngineConfig, IoEngine, IoRequest, RetryConfig};
+use scm_device::{DeviceArray, DeviceId, ReadCommand, TechnologyProfile};
 use sdm_cache::SharedRowTier;
 use sdm_core::{
     BatchMode, Frontend, FrontendConfig, PoolKernel, SdmConfig, SdmSystem, ServingHost, Shard,
@@ -16,7 +17,7 @@ use sdm_core::{
 };
 use sdm_metrics::alloc_hook;
 use sdm_metrics::units::Bytes;
-use sdm_metrics::SimDuration;
+use sdm_metrics::{SimDuration, SimInstant};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 use workload::{
@@ -74,6 +75,28 @@ fn queries_for(model: &dlrm::ModelConfig, count: usize, seed: u64) -> Vec<Query>
     QueryGenerator::new(&model.tables, cfg, seed)
         .unwrap()
         .generate(count)
+}
+
+/// One round of SM-style IO against the engine: single-range SGL reads of
+/// 90–170 B rows spread over three devices and six tables, submitted at one
+/// instant and reaped through `drain_each`. Returns (reaped, payload bytes).
+fn io_round(engine: &mut IoEngine, round: u64) -> (u64, u64) {
+    let now = SimInstant::from_nanos(round * 1_000_000);
+    for i in 0..48u64 {
+        let command = ReadCommand::sgl(i * 512, 90 + (i % 5) as u32 * 20);
+        let request = IoRequest::new(DeviceId((i % 3) as usize), command)
+            .with_table((i % 6) as u32)
+            .with_user_data(i);
+        engine.submit(request, now).unwrap();
+    }
+    let (mut reaped, mut bytes) = (0, 0);
+    engine
+        .drain_each(now, |c| {
+            reaped += 1;
+            bytes += c.data.len() as u64;
+        })
+        .unwrap();
+    (reaped, bytes)
 }
 
 /// Warm every level: row cache, pooled cache, scratch-buffer capacity,
@@ -319,6 +342,36 @@ fn warmed_hot_path_performs_zero_allocations() {
         "scalar",
         "forced scalar kernel did not take effect"
     );
+
+    // --- warmed IO engine: submit + drain_each ---
+    // The command holds its one range inline, the device reads straight
+    // into the engine's payload buffer and `drain_each` lends each payload
+    // out of it, so with the default retry policy a warmed submit/reap loop
+    // allocates nothing per IO.
+    let array =
+        DeviceArray::homogeneous(TechnologyProfile::optane_ssd(), Bytes::from_mib(1), 3).unwrap();
+    let mut engine = IoEngine::new(array, EngineConfig::default());
+    for round in 0..3 {
+        io_round(&mut engine, round);
+    }
+    alloc_hook::reset();
+    alloc_hook::set_enabled(true);
+    let mut io_totals = (0, 0);
+    for round in 3..6 {
+        let (reaped, bytes) = io_round(&mut engine, round);
+        io_totals = (io_totals.0 + reaped, io_totals.1 + bytes);
+    }
+    alloc_hook::set_enabled(false);
+    let io_allocs = alloc_hook::allocations();
+    assert_eq!(
+        io_allocs, 0,
+        "warmed IoEngine submit + drain_each allocated {io_allocs} times over {} reads",
+        io_totals.0
+    );
+    let device_reads: u64 = engine.array().iter().map(|(_, d)| d.stats().reads).sum();
+    assert_eq!(io_totals.0, 3 * 48, "every measured read must be reaped");
+    assert_eq!(device_reads, 6 * 48, "the devices must serve every read");
+    assert!(io_totals.1 >= 3 * 48 * 90);
 
     // Control: the allocating run_query wrapper does allocate (the returned
     // QueryResult), proving the counter actually observes this code path.
